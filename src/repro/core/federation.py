@@ -111,8 +111,7 @@ class Federation:
 
     def __init__(self, zone: str = "demozone",
                  default_link: LinkSpec = WAN,
-                 selection_policy: str = "primary",
-                 placement: Optional[str] = None,
+                 placement: str = "primary",
                  sso_enabled: bool = True,
                  audit_enabled: bool = True,
                  charge_storage_time: bool = True,
@@ -172,13 +171,10 @@ class Federation:
         # the placement engine (repro.policy): one pluggable seam for
         # every replica/resource choice.  ``placement`` accepts the four
         # historical static policies plus "observed" (rank by measured
-        # path history — E18); ``selection_policy`` is the pre-engine
-        # spelling and keeps working for the static four.  The engine's
-        # PathStats observer watches the wire from day one, cost-free,
-        # whatever the policy.
-        self.placement = PlacementEngine(
-            self.resources, self.network,
-            policy=placement if placement is not None else selection_policy)
+        # path history — E18).  The engine's PathStats observer watches
+        # the wire from day one, cost-free, whatever the policy.
+        self.placement = PlacementEngine(self.resources, self.network,
+                                         policy=placement)
         # legacy spelling: fed.selector.policy / fed.selector.order()
         # answer from the engine (one copy of policy state)
         self.selector = self.placement.legacy_selector

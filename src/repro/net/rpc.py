@@ -8,6 +8,14 @@ handler, charges the response bytes, and either returns the handler's
 result or re-raises its exception on the caller side — the same model as
 mpi4py's pickle-based send/recv, specialized to request/response.
 
+Every RPC is such a message pair, run by one private primitive
+(``ServiceRegistry._message_pair``): ``call`` serves one handler,
+``call_batch`` serves N pipelined requests with per-item error
+marshalling, and ``call_stream`` is a loop of ``call``.  Each outcome
+(ok, handler error, wrapped bug, request leg lost, shed, reply leg lost,
+redirect failed) is accounted in one place; DESIGN.md ("Admission in the
+RPC layer") tables the metrics and ``last_timing`` fields of each.
+
 Exceptions deriving from :class:`~repro.errors.SrbError` cross the wire
 transparently (the remote failure surfaces at the caller, as a real RPC
 stack would marshal them); anything else is wrapped in ``RpcError`` since
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
@@ -126,6 +135,22 @@ def _resolve_method(handler: Any, service: str, method: str) -> Callable:
     return fn
 
 
+def _marshal(exc: Exception, service: str, method: str) -> Exception:
+    """What a remote failure surfaces as at the caller: an
+    :class:`SrbError` as itself, any other exception (a remote bug)
+    wrapped in :class:`RpcError` with the original as its cause."""
+    if isinstance(exc, SrbError):
+        return exc
+    wrapped = RpcError(f"remote {service}.{method} failed: {exc!r}")
+    wrapped.__cause__ = exc
+    return wrapped
+
+
+def _batch_reply_size(results: List[BatchItemResult]) -> int:
+    return message_size(
+        [r.value if r.ok else {"error": True} for r in results])
+
+
 class ServiceRegistry:
     """Per-network registry mapping (host, service) -> handler object.
 
@@ -175,13 +200,6 @@ class ServiceRegistry:
             yield
         finally:
             self._open_arrival = prev
-
-    def _finish(self, arrival: float, wait: float, latency: float,
-                shed: bool = False, retry_after: Optional[float] = None,
-                error: Optional[str] = None) -> None:
-        self.last_timing = RequestTiming(
-            arrival=arrival, wait=wait, latency=latency, shed=shed,
-            retry_after=retry_after, error=error)
 
     def _admit(self, dst: str, service: str, method: str, arrival: float,
                advance_clock: bool):
@@ -240,30 +258,151 @@ class ServiceRegistry:
 
     # -- invocation ------------------------------------------------------------
 
-    def _error_reply(self, src: str, dst: str, service: str, method: str,
-                     t0: float, extra: float, err_name: str,
-                     err_bytes: int) -> float:
-        """Charge + account the small error reply of a failed call.
-
-        Failed calls must not be invisible in the latency histograms:
-        the error reply's bytes and the call's latency are emitted on
-        the same ``rpc.response_bytes``/``rpc.call_s`` metrics as a
-        success, with an ``error=`` label (they used to update only the
-        plain counters, so error latencies vanished from E15's curves).
-        Returns the call's latency including ``extra`` un-clocked wait.
-        """
-        obs = self.network.obs
+    def _count_failure(self, service: str, method: str, error: str) -> None:
         self.stats.failures += 1
-        obs.metrics.inc("rpc.failures", service=service, method=method,
-                        error=err_name)
-        self.network.transfer(dst, src, err_bytes)
-        self.stats.response_bytes += err_bytes
-        obs.metrics.inc("rpc.response_bytes", err_bytes, service=service,
+        self.network.obs.metrics.inc("rpc.failures", service=service,
+                                     method=method, error=error)
+
+    def _account(self, service: str, method: str, issued: float,
+                 wait: float, latency: float, error: Optional[str] = None,
+                 **timing: Any) -> None:
+        """Close a message pair: ``rpc.call_s`` and :attr:`last_timing`.
+
+        Failed calls must not be invisible in the latency histograms: a
+        failure lands on the same ``rpc.call_s`` series as a success,
+        with an ``error=`` label, and is counted in ``failures`` and
+        ``rpc.failures``.  ``latency`` includes any un-clocked queue wait.
+        """
+        if error is None:
+            self.network.obs.metrics.observe("rpc.call_s", latency,
+                                             service=service, method=method)
+        else:
+            self._count_failure(service, method, error)
+            self.network.obs.metrics.observe("rpc.call_s", latency,
+                                             service=service, method=method,
+                                             error=error)
+        self.last_timing = RequestTiming(arrival=issued, wait=wait,
+                                         latency=latency, error=error,
+                                         **timing)
+
+    def _message_pair(self, sp: Any, src: str, dst: str, service: str,
+                      method: str, req_bytes: int, serve: Callable[[], Any],
+                      reply_size: Callable[[Any], int],
+                      redirect: Callable[[str, Any], Any],
+                      batch_items: Optional[int] = None) -> Any:
+        """One request/response message pair: the body of every RPC.
+
+        :meth:`call` and :meth:`call_batch` supply what differs: the open
+        span ``sp``, the request size, the ``method`` label, ``serve``
+        (runs on ``dst``), ``reply_size`` and the caller-side
+        ``redirect`` step.  In order, once each: charge the request leg;
+        contend for ``dst``'s worker pool; serve, with :attr:`caller_host`
+        set and the worker held for the service time even if ``serve``
+        raised; charge the reply leg (the result, or a small error/busy
+        reply); run ``redirect``; account the outcome.
+        """
+        metrics = self.network.obs.metrics
+        clock = self.network.clock
+        open_arrival = self._open_arrival
+        self._open_arrival = None       # nested calls run closed-loop
+        self.last_timing = None
+        t0 = clock.now
+        issued = open_arrival if open_arrival is not None else t0
+        wait = extra = 0.0
+        # the attempt counts even if the request never arrives: an
+        # unreachable-host RPC must be visible in the stats
+        self.stats.calls += 1
+        self.stats.request_bytes += req_bytes
+        metrics.inc("rpc.calls", service=service, method=method)
+        if batch_items is not None:
+            metrics.inc("rpc.batch_calls", service=service)
+            metrics.inc("rpc.batch_items", batch_items, service=service)
+        metrics.inc("rpc.request_bytes", req_bytes, service=service,
+                    method=method)
+        if sp is not None:
+            sp.incr("request_bytes", req_bytes)
+        try:
+            self.network.transfer(src, dst, req_bytes)
+        except HostUnreachable:
+            self._account(service, method, issued, wait, clock.now - t0,
+                          "unreachable")
+            raise
+
+        error: Optional[Exception] = None   # what the caller will get
+        err_name: Optional[str] = None      # its ``error=`` label
+        timing: Dict[str, Any] = {}
+        try:
+            # a batch occupies one worker too: admission is per message
+            # pair, exactly like the byte/latency amortization
+            station, admission = self._admit(
+                dst, service, method, issued + (clock.now - t0),
+                advance_clock=open_arrival is None)
+        except ServerBusy as exc:
+            # fast-fail: the server answers with a tiny busy reply
+            # carrying the retry-after hint instead of queueing
+            if sp is not None:
+                sp.error = str(exc)
+            error, err_name = exc, "ServerBusy"
+            timing = {"shed": True, "retry_after": exc.retry_after}
+            resp_bytes = message_size(
+                {"error": True, "retry_after": exc.retry_after})
+        else:
+            if admission is not None:
+                wait = admission.wait
+                # under an open loop the wait overlapped other requests'
+                # work: it is part of this request's latency, not clock
+                # time
+                extra = wait if open_arrival is not None else 0.0
+            t_svc = clock.now
+            caller_prev = self._caller_host
+            self._caller_host = src
+            try:
+                result = serve()
+            except Exception as exc:
+                err_name = type(exc).__name__
+                error = _marshal(exc, service, method)
+                resp_bytes = message_size({"error": True})
+            else:
+                resp_bytes = reply_size(result)
+            finally:
+                self._caller_host = caller_prev
+                # the worker was occupied for the service time whether
+                # the handler succeeded or raised
+                if admission is not None:
+                    station.complete(
+                        admission, admission.start + (clock.now - t_svc))
+
+        try:
+            self.network.transfer(dst, src, resp_bytes)
+        except HostUnreachable:
+            # the reply never made it back (a partition opened mid-call):
+            # a failed call, whether it carried a result or an error
+            self._account(service, method, issued, wait,
+                          clock.now - t0 + extra, "unreachable")
+            raise
+        self.stats.response_bytes += resp_bytes
+        if error is not None:
+            metrics.inc("rpc.response_bytes", resp_bytes, service=service,
                         method=method, error=err_name)
-        latency = self.network.clock.now - t0 + extra
-        obs.metrics.observe("rpc.call_s", latency, service=service,
-                            method=method, error=err_name)
-        return latency
+            self._account(service, method, issued, wait,
+                          clock.now - t0 + extra, err_name, **timing)
+            raise error
+        metrics.inc("rpc.response_bytes", resp_bytes, service=service,
+                    method=method)
+        try:
+            # a redirect's second leg costs the caller: it is part of
+            # this call's client-perceived latency
+            result = redirect(src, result)
+        except SrbError as exc:
+            if sp is not None:
+                sp.error = str(exc)
+            self._account(service, method, issued, wait,
+                          clock.now - t0 + extra, type(exc).__name__)
+            raise
+        self._account(service, method, issued, wait, clock.now - t0 + extra)
+        if sp is not None:
+            sp.incr("response_bytes", resp_bytes)
+        return result
 
     def call(self, src: str, dst: str, service: str, method: str,
              /, **kwargs: Any) -> Any:
@@ -273,155 +412,32 @@ class ServiceRegistry:
         response size is measured from the actual return value, so calls
         returning file contents cost bandwidth proportional to the data.
         When the destination host has a worker-pool station the call
-        additionally pays (or is shed by) that host's queue.
+        additionally pays (or is shed by) that host's queue.  A
+        :class:`Redirect` reply's second leg runs before the call
+        returns; if it fails, the call fails.
         """
-        handler = self.lookup(dst, service)
-        fn = _resolve_method(handler, service, method)
-
-        obs = self.network.obs
-        clock = self.network.clock
+        fn = _resolve_method(self.lookup(dst, service), service, method)
         req_bytes = message_size({"method": method, "kwargs": kwargs})
-        open_arrival = self._open_arrival
-        self._open_arrival = None       # nested calls run closed-loop
-        self.last_timing = None
-        with obs.tracer.span("rpc.call", src=src, dst=dst, service=service,
-                             method=method) as sp:
-            t0 = clock.now
-            issued = open_arrival if open_arrival is not None else t0
-            # the attempt counts even if the request never arrives: an
-            # unreachable-host RPC must be visible in the stats
-            self.stats.calls += 1
-            self.stats.request_bytes += req_bytes
-            obs.metrics.inc("rpc.calls", service=service, method=method)
-            obs.metrics.inc("rpc.request_bytes", req_bytes,
-                            service=service, method=method)
-            if sp is not None:
-                sp.incr("request_bytes", req_bytes)
-            try:
-                self.network.transfer(src, dst, req_bytes)
-            except HostUnreachable:
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method=method, error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0,
-                                    service=service, method=method,
-                                    error="unreachable")
-                self._finish(issued, 0.0, clock.now - t0,
-                             error="unreachable")
-                raise
+        with self.network.obs.tracer.span("rpc.call", src=src, dst=dst,
+                                          service=service,
+                                          method=method) as sp:
+            return self._message_pair(sp, src, dst, service, method,
+                                      req_bytes, partial(fn, **kwargs),
+                                      message_size, self._run_redirect)
 
-            # worker-pool admission on the destination host
-            arrival = issued + (clock.now - t0)
-            try:
-                station, admission = self._admit(
-                    dst, service, method, arrival,
-                    advance_clock=open_arrival is None)
-            except ServerBusy as exc:
-                # fast-fail: the server answers with a tiny busy reply
-                # carrying the retry-after hint instead of queueing
-                busy_bytes = message_size(
-                    {"error": True, "retry_after": exc.retry_after})
-                if sp is not None:
-                    sp.error = str(exc)
-                latency = self._error_reply(src, dst, service, method,
-                                            t0, 0.0, "ServerBusy",
-                                            busy_bytes)
-                self._finish(issued, 0.0, latency, shed=True,
-                             retry_after=exc.retry_after,
-                             error="ServerBusy")
-                raise
-            wait = admission.wait if admission is not None else 0.0
-            # under an open loop the wait overlapped other requests'
-            # work: it is part of this request's latency, not clock time
-            extra = wait if open_arrival is not None else 0.0
-
-            t_svc = clock.now
-            caller_prev = self._caller_host
-            self._caller_host = src
-            try:
-                try:
-                    result = fn(**kwargs)
-                finally:
-                    self._caller_host = caller_prev
-                    # the worker was occupied for the service time
-                    # whether the handler succeeded or raised
-                    if admission is not None:
-                        station.complete(
-                            admission, admission.start + (clock.now - t_svc))
-            except SrbError as exc:
-                # error response: small fixed-size message to the caller
-                err_name = type(exc).__name__
-                latency = self._error_reply(src, dst, service, method, t0,
-                                            extra, err_name,
-                                            message_size({"error": True}))
-                self._finish(issued, wait, latency, error=err_name)
-                raise
-            except Exception as exc:  # non-SRB bug: wrap, don't leak
-                err_name = type(exc).__name__
-                latency = self._error_reply(src, dst, service, method, t0,
-                                            extra, err_name,
-                                            message_size({"error": True}))
-                self._finish(issued, wait, latency, error=err_name)
-                raise RpcError(
-                    f"remote {service}.{method} failed: {exc!r}") from exc
-
-            resp_bytes = message_size(result)
-            try:
-                self.network.transfer(dst, src, resp_bytes)
-            except HostUnreachable:
-                # the handler ran but its response never made it back
-                # (partition opened mid-call): that is a failed call and
-                # must be counted, not escape silently
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method=method, error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                    service=service, method=method,
-                                    error="unreachable")
-                self._finish(issued, wait, clock.now - t0 + extra,
-                             error="unreachable")
-                raise
-            self.stats.response_bytes += resp_bytes
-            obs.metrics.inc("rpc.response_bytes", resp_bytes,
-                            service=service, method=method)
-            if isinstance(result, Redirect):
-                # the reply carried signed descriptors, not the bytes:
-                # execute the second leg(s) on the real src→sink paths
-                # before handing the payload to the caller — its cost is
-                # part of this call's client-perceived latency
-                try:
-                    result = self._run_redirect(src, result)
-                except SrbError as exc:
-                    err_name = type(exc).__name__
-                    if sp is not None:
-                        sp.error = str(exc)
-                    self.stats.failures += 1
-                    obs.metrics.inc("rpc.failures", service=service,
-                                    method=method, error=err_name)
-                    obs.metrics.observe("rpc.call_s",
-                                        clock.now - t0 + extra,
-                                        service=service, method=method,
-                                        error=err_name)
-                    self._finish(issued, wait, clock.now - t0 + extra,
-                                 error=err_name)
-                    raise
-            obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                service=service, method=method)
-            if sp is not None:
-                sp.incr("response_bytes", resp_bytes)
-            self._finish(issued, wait, clock.now - t0 + extra)
-        return result
-
-    def _run_redirect(self, sink: str, redirect: Redirect) -> Any:
+    def _run_redirect(self, sink: str, redirect: Any) -> Any:
         """Execute a redirect reply's second leg(s) at the caller.
 
-        Single-leg (and serial multi-leg) redirects transfer blocking;
-        a ``parallel`` redirect composes its legs into a
-        :class:`TransferGroup` so striped/fan-out transfers charge the
-        makespan.  With ``retry=True`` (striped reads) a failed grouped
-        leg's bytes are re-pulled from the first healthy leg's source;
-        otherwise the first failure raises.  Returns the payload.
+        Any other reply passes through unchanged.  Single-leg (and
+        serial multi-leg) redirects transfer blocking; a ``parallel``
+        redirect composes its legs into a :class:`TransferGroup` so
+        striped/fan-out transfers charge the makespan.  With
+        ``retry=True`` (striped reads) a failed grouped leg's bytes are
+        re-pulled from the first healthy leg's source; otherwise the
+        first failure raises.  Returns the payload.
         """
+        if not isinstance(redirect, Redirect):
+            return redirect
         obs = self.network.obs
         channels = redirect.channels
         with obs.tracer.span("srb.redirect", sink=sink,
@@ -530,146 +546,49 @@ class ServiceRegistry:
         O(1) in round trips instead of O(N).
 
         Errors are marshalled per item: an :class:`SrbError` raised by
-        item k is captured in its :class:`BatchItemResult` and the other
-        items still execute and return.  Only whole-message failures
-        fail the whole batch: a transport failure on either leg
+        item k (or by its redirect leg) is captured in its
+        :class:`BatchItemResult`, counted under item k's method, and the
+        other items still execute and return.  Only whole-message
+        failures fail the whole batch: a transport failure on either leg
         (destination unreachable — after charging the usual timeout) or
         the destination's admission control shedding the batch with
         :class:`~repro.errors.ServerBusy`.
         """
         handler = self.lookup(dst, service)
-        obs = self.network.obs
-        clock = self.network.clock
         req_bytes = message_size(
             {"batch": [{"method": m, "kwargs": kw} for m, kw in items]})
-        open_arrival = self._open_arrival
-        self._open_arrival = None       # nested calls run closed-loop
-        self.last_timing = None
-        with obs.tracer.span("rpc.call_batch", src=src, dst=dst,
-                             service=service, items=len(items)) as sp:
-            t0 = clock.now
-            issued = open_arrival if open_arrival is not None else t0
-            # one pipelined request/response pair = one call in the stats
-            self.stats.calls += 1
-            self.stats.request_bytes += req_bytes
-            obs.metrics.inc("rpc.calls", service=service, method="<batch>")
-            obs.metrics.inc("rpc.batch_calls", service=service)
-            obs.metrics.inc("rpc.batch_items", len(items), service=service)
-            obs.metrics.inc("rpc.request_bytes", req_bytes,
-                            service=service, method="<batch>")
-            if sp is not None:
-                sp.incr("request_bytes", req_bytes)
-            try:
-                self.network.transfer(src, dst, req_bytes)
-            except HostUnreachable:
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method="<batch>", error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0,
-                                    service=service, method="<batch>",
-                                    error="unreachable")
-                self._finish(issued, 0.0, clock.now - t0,
-                             error="unreachable")
-                raise
 
-            # the whole batch occupies one worker: admission is per
-            # message pair, exactly like the byte/latency amortization
-            arrival = issued + (clock.now - t0)
-            try:
-                station, admission = self._admit(
-                    dst, service, "<batch>", arrival,
-                    advance_clock=open_arrival is None)
-            except ServerBusy as exc:
-                busy_bytes = message_size(
-                    {"error": True, "retry_after": exc.retry_after})
-                if sp is not None:
-                    sp.error = str(exc)
-                latency = self._error_reply(src, dst, service, "<batch>",
-                                            t0, 0.0, "ServerBusy",
-                                            busy_bytes)
-                self._finish(issued, 0.0, latency, shed=True,
-                             retry_after=exc.retry_after,
-                             error="ServerBusy")
-                raise
-            wait = admission.wait if admission is not None else 0.0
-            extra = wait if open_arrival is not None else 0.0
+        def serve() -> List[BatchItemResult]:
+            results = []
+            for method, kwargs in items:
+                try:
+                    value = _resolve_method(handler, service, method)(
+                        **kwargs)
+                except Exception as exc:
+                    results.append(BatchItemResult(
+                        ok=False, error=_marshal(exc, service, method)))
+                    self._count_failure(service, method,
+                                        type(exc).__name__)
+                else:
+                    results.append(BatchItemResult(ok=True, value=value))
+            return results
 
-            t_svc = clock.now
-            results: List[BatchItemResult] = []
-            caller_prev = self._caller_host
-            self._caller_host = src
-            try:
-                for method, kwargs in items:
+        def redirect(sink: str,
+                     results: List[BatchItemResult]) -> List[BatchItemResult]:
+            # a dead channel fails only its own item
+            for (method, _kwargs), r in zip(items, results):
+                if r.ok:
                     try:
-                        fn = _resolve_method(handler, service, method)
-                    except RpcError as exc:
-                        results.append(BatchItemResult(ok=False, error=exc))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method, error="RpcError")
-                        continue
-                    try:
-                        results.append(
-                            BatchItemResult(ok=True, value=fn(**kwargs)))
+                        r.value = self._run_redirect(sink, r.value)
                     except SrbError as exc:
-                        results.append(BatchItemResult(ok=False, error=exc))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method,
-                                        error=type(exc).__name__)
-                    except Exception as exc:  # non-SRB bug: wrap, don't leak
-                        wrapped = RpcError(
-                            f"remote {service}.{method} failed: {exc!r}")
-                        wrapped.__cause__ = exc
-                        results.append(BatchItemResult(ok=False,
-                                                       error=wrapped))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method,
-                                        error=type(exc).__name__)
-            finally:
-                self._caller_host = caller_prev
+                        r.ok, r.value, r.error = False, None, exc
+                        self._count_failure(service, method,
+                                            type(exc).__name__)
+            return results
 
-            if admission is not None:
-                station.complete(admission,
-                                 admission.start + (clock.now - t_svc))
-
-            resp_bytes = message_size(
-                [r.value if r.ok else {"error": True} for r in results])
-            try:
-                self.network.transfer(dst, src, resp_bytes)
-            except HostUnreachable:
-                # response leg died mid-call (partition opened by an
-                # item): the batch failed and must be counted as such
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method="<batch>", error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                    service=service, method="<batch>",
-                                    error="unreachable")
-                self._finish(issued, wait, clock.now - t0 + extra,
-                             error="unreachable")
-                raise
-            self.stats.response_bytes += resp_bytes
-            obs.metrics.inc("rpc.response_bytes", resp_bytes,
-                            service=service, method="<batch>")
-            for r in results:
-                if r.ok and isinstance(r.value, Redirect):
-                    # second leg per item; a dead channel fails only its
-                    # own item, matching the batch's per-item marshalling
-                    try:
-                        r.value = self._run_redirect(src, r.value)
-                    except SrbError as exc:
-                        r.ok = False
-                        r.value = None
-                        r.error = exc
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method="<batch>",
-                                        error=type(exc).__name__)
-            obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                service=service, method="<batch>")
-            if sp is not None:
-                sp.incr("response_bytes", resp_bytes)
-            self._finish(issued, wait, clock.now - t0 + extra)
-        return results
+        with self.network.obs.tracer.span("rpc.call_batch", src=src,
+                                          dst=dst, service=service,
+                                          items=len(items)) as sp:
+            return self._message_pair(sp, src, dst, service, "<batch>",
+                                      req_bytes, serve, _batch_reply_size,
+                                      redirect, batch_items=len(items))

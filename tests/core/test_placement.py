@@ -51,11 +51,6 @@ class TestFederationWiring:
         # legacy surface still answers
         assert fed.selector.policy == "primary"
 
-    def test_selection_policy_still_routes_to_the_engine(self):
-        fed, _ = build_fed(selection_policy="nearest")
-        assert fed.placement.policy_name == "nearest"
-        assert fed.selector.policy == "nearest"
-
     def test_placement_knob_wins(self):
         fed, _ = build_fed(placement="observed")
         assert fed.placement.policy_name == "observed"

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import NoSuchObject, RpcError, SrbError
+from repro.core import Federation
+from repro.errors import HostUnreachable, InvalidTicket, NoSuchObject, \
+    RpcError, SrbError
 from repro.net.rpc import ServiceRegistry
 from repro.net.simnet import Network
+from repro.net.wire import Redirect
 
 
 class EchoService:
@@ -85,7 +88,6 @@ class TestErrors:
         exactly the situation the stats exist for."""
         net, rpc = setup
         net.set_down("server")
-        from repro.errors import HostUnreachable
         with pytest.raises(HostUnreachable):
             rpc.call("client", "server", "svc", "echo", text="hi")
         assert rpc.stats.calls == 1
@@ -196,7 +198,6 @@ class TestCallBatch:
         timeout a single call would pay — and is visible in the stats."""
         net, rpc = setup
         net.set_down("server")
-        from repro.errors import HostUnreachable
         t0 = net.clock.now
         with pytest.raises(HostUnreachable):
             rpc.call_batch("client", "server", "svc",
@@ -230,6 +231,12 @@ class NetAwareService:
         # will never make it back to the caller
         self.net.partition("client", "server")
         return "you will never see this"
+
+    def partition_then_fail(self):
+        # the handler fails after a partition opened: its error reply
+        # is lost on the way back, just like a success reply would be
+        self.net.partition("client", "server")
+        raise NoSuchObject("the caller never learns this")
 
 
 class SlowService:
@@ -294,7 +301,6 @@ class TestErrorPathAccounting:
         net, rpc = setup
         rpc.register("server", "evil", NetAwareService(net))
         failures0 = rpc.stats.failures
-        from repro.errors import HostUnreachable
         with pytest.raises(HostUnreachable):
             rpc.call("client", "server", "evil", "partition_reply")
         assert rpc.stats.failures == failures0 + 1
@@ -308,7 +314,6 @@ class TestErrorPathAccounting:
     def test_response_leg_partition_counted_in_batch(self, setup):
         net, rpc = setup
         rpc.register("server", "evil", NetAwareService(net))
-        from repro.errors import HostUnreachable
         with pytest.raises(HostUnreachable):
             rpc.call_batch("client", "server", "evil",
                            [("echo", {"text": "a"}),
@@ -317,6 +322,26 @@ class TestErrorPathAccounting:
         m = net.obs.metrics
         assert m.get("rpc.failures", service="evil",
                      method="<batch>", error="unreachable") == 1
+
+    def test_lost_error_reply_counted(self, setup):
+        """Regression: an error reply lost to a partition used to escape
+        mid-accounting: ``last_timing`` stayed None and ``rpc.call_s``
+        never saw the call.  A lost error reply is accounted exactly like
+        a lost success reply: one ``unreachable`` failure."""
+        net, rpc = setup
+        rpc.register("server", "evil", NetAwareService(net))
+        with pytest.raises(HostUnreachable):
+            rpc.call("client", "server", "evil", "partition_then_fail")
+        assert rpc.stats.failures == 1
+        m = net.obs.metrics
+        assert m.get("rpc.failures", service="evil",
+                     method="partition_then_fail", error="unreachable") == 1
+        assert m.total("rpc.failures") == 1
+        assert m.histogram("rpc.call_s", service="evil",
+                           method="partition_then_fail",
+                           error="unreachable").count == 1
+        assert rpc.last_timing is not None
+        assert rpc.last_timing.error == "unreachable"
 
     def test_batch_item_error_visible_in_metrics(self, setup):
         net, rpc = setup
@@ -444,3 +469,84 @@ class TestAdmission:
         assert len(spans) == 1
         assert spans[0].attrs["host"] == "server"
         assert spans[0].attrs["wait_s"] > 0
+
+
+class RedirectService:
+    """Replies with direct-channel descriptors, as direct-I/O ops do."""
+
+    def __init__(self, fed):
+        self.fed = fed
+
+    def pull(self, nbytes: int = 4096) -> Redirect:
+        ch = self.fed.channels.open("disk", "client", nbytes, "/z/x")
+        return Redirect(b"x" * nbytes, [ch])
+
+    def stale_pull(self, nbytes: int = 4096) -> Redirect:
+        # a topology change between issue and redeem invalidates the
+        # descriptor: the caller's redeem raises InvalidTicket
+        ch = self.fed.channels.open("disk", "client", nbytes, "/z/x")
+        self.fed.network.set_down("disk")
+        self.fed.network.set_up("disk")
+        return Redirect(b"x" * nbytes, [ch])
+
+
+@pytest.fixture
+def redirect_fed():
+    fed = Federation(zone="z", direct_io=True)
+    for host in ("server", "disk", "client"):
+        fed.add_host(host)
+    fed.rpc.register("server", "redir", RedirectService(fed))
+    return fed
+
+
+class TestRedirectFailure:
+    """A redirect reply's second leg runs at the caller; a channel that
+    cannot open fails the call (or, in a batch, only its item)."""
+
+    def test_failed_redirect_fails_the_call(self, redirect_fed):
+        rpc = redirect_fed.rpc
+        m = redirect_fed.obs.metrics
+        with pytest.raises(InvalidTicket):
+            rpc.call("client", "server", "redir", "stale_pull")
+        assert rpc.stats.failures == 1
+        assert m.get("rpc.failures", service="redir", method="stale_pull",
+                     error="InvalidTicket") == 1
+        assert m.histogram("rpc.call_s", service="redir",
+                           method="stale_pull",
+                           error="InvalidTicket").count == 1
+        assert m.histogram("rpc.call_s", service="redir",
+                           method="stale_pull") is None
+        assert rpc.last_timing.error == "InvalidTicket"
+        # the descriptor reply itself arrived and stays on the books
+        assert m.get("rpc.response_bytes", service="redir",
+                     method="stale_pull") > 0
+        assert rpc.stats.response_bytes > 0
+
+    def test_failed_redirect_fails_only_its_batch_item(self, redirect_fed):
+        rpc = redirect_fed.rpc
+        m = redirect_fed.obs.metrics
+        results = rpc.call_batch("client", "server", "redir",
+                                 [("stale_pull", {}),
+                                  ("pull", {"nbytes": 10})])
+        assert not results[0].ok
+        assert isinstance(results[0].error, InvalidTicket)
+        assert results[1].ok and results[1].value == b"x" * 10
+        assert rpc.stats.failures == 1
+        # the batch itself completed
+        assert rpc.last_timing.ok
+        assert m.histogram("rpc.call_s", service="redir",
+                           method="<batch>").count == 1
+
+    def test_failed_batch_redirect_labelled_with_item_method(
+            self, redirect_fed):
+        """Regression: an item's failed redirect used to count under
+        ``method="<batch>"`` while a handler failure of the same item
+        counted under the item's own method."""
+        rpc = redirect_fed.rpc
+        m = redirect_fed.obs.metrics
+        rpc.call_batch("client", "server", "redir",
+                       [("stale_pull", {}), ("pull", {})])
+        assert m.get("rpc.failures", service="redir", method="stale_pull",
+                     error="InvalidTicket") == 1
+        assert m.get("rpc.failures", service="redir", method="<batch>",
+                     error="InvalidTicket") == 0

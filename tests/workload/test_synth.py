@@ -98,6 +98,6 @@ class TestStandardGrid:
         names = [o["name"] for o in listing["objects"]]
         assert sum(1 for n in names if n.endswith(".hdr")) == 2
 
-    def test_selection_policy_plumbed(self):
-        g = standard_grid(selection_policy="round-robin")
+    def test_placement_plumbed(self):
+        g = standard_grid(placement="round-robin")
         assert g.fed.selector.policy == "round-robin"
