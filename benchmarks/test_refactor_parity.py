@@ -185,12 +185,100 @@ def scenario_e14_striped(**fed_kwargs):
     return out
 
 
+def scenario_knob_lattice(**fed_kwargs):
+    """Every data-leg site on the ``direct_io`` x ``parallel_fanout``
+    lattice.
+
+    Topology: the client on its own host, one disk local to the server
+    and one remote, and a logical resource over both.  One op sequence
+    reaches each byte-moving site: logical-resource ingest (serial or
+    fan-out legs, pass-through or channels), bulk ingest, plain and
+    striped gets (server pulls or redirects), bulk gets with and
+    without a container prefetch, replicate, put + synchronize over two
+    dirty replicas (serial or grouped refresh), copy, physical move,
+    ingest_replica and the container append/get/sync legs.  Each knob
+    setting records per-op virtual seconds, the grid cost counters and
+    every ``net.direct.*``/``net.parallel.*`` series.
+
+    The scenario sweeps the two knobs itself, so it takes no
+    ``fed_kwargs`` (the direct_io-off parity run replays it unchanged).
+    """
+    del fed_kwargs
+    from repro.core import SrbClient
+    out = {}
+    for direct_io in (False, True):
+        for fanout in (False, True):
+            fed = flat_fed(n_hosts=2, direct_io=direct_io,
+                           parallel_fanout=fanout)
+            fed.add_host("hc")
+            fed.add_logical_resource("both", ["fs0", "fs1"])
+            admin_client(fed)
+            client = SrbClient(fed, "hc", "s0", "srbadmin@sdsc", "hunter2")
+            client.login()
+            cont = f"{COLL}/box"
+            ops = {}
+
+            def op(name, fn):
+                t0 = fed.clock.now
+                result = fn()
+                ops[name] = fed.clock.now - t0
+                return result
+
+            payload = b"lattice" * 3000
+            op("create_container",
+               lambda: client.create_container(cont, "both"))
+            op("container_ingest",
+               lambda: client.ingest(f"{COLL}/m1", b"member-one" * 50,
+                                     container=cont))
+            op("ingest_logical",
+               lambda: client.ingest(PATH, payload, resource="both"))
+            items = [{"path": f"{COLL}/b{i}", "data": bytes([i]) * 2048}
+                     for i in range(4)]
+            op("bulk_ingest",
+               lambda: client.bulk_ingest(items, resource="fs1"))
+            assert op("get", lambda: client.get(PATH)) == payload
+            assert op("get_striped",
+                      lambda: client.get(PATH, stripes=2)) == payload
+            targets = [it["path"] for it in items] + [PATH, f"{COLL}/m1"]
+            got = op("bulk_get", lambda: client.bulk_get(targets))
+            assert all("data" in r for r in got)
+            got = op("bulk_get_container",
+                     lambda: client.bulk_get(targets, via_container=cont))
+            assert all("data" in r for r in got)
+            op("replicate", lambda: client.replicate(PATH, "fs1"))
+            op("put", lambda: client.put(PATH, b"fresh" * 4000))
+            assert op("synchronize",
+                      lambda: client.synchronize(PATH)) == 2
+            op("copy", lambda: client.copy(PATH, f"{COLL}/copy",
+                                           resource="fs1"))
+            op("physical_move",
+               lambda: client.physical_move(f"{COLL}/copy", "fs0"))
+            op("ingest_replica",
+               lambda: client.ingest_replica(PATH, b"alt" * 1000, "fs1"))
+            op("container_append",
+               lambda: client.ingest(f"{COLL}/m2", b"member-two" * 80,
+                                     container=cont))
+            assert op("container_get",
+                      lambda: client.get(f"{COLL}/m2")) \
+                == b"member-two" * 80
+            op("sync_container", lambda: client.sync_container(cont))
+
+            run = dict(ops)
+            run.update(_grid_costs(fed))
+            run.update({k: v for k, v in
+                        sorted(fed.obs.metrics.snapshot().items())
+                        if k.startswith(("net.direct.", "net.parallel."))})
+            out[f"direct_io={direct_io},fanout={fanout}"] = run
+    return out
+
+
 SCENARIOS = {
     "e2_failover": scenario_e2_failover,
     "e3_policies": scenario_e3_policies,
     "e4_catalog": scenario_e4_catalog,
     "e13_bulk": scenario_e13_bulk,
     "e14_striped": scenario_e14_striped,
+    "knob_lattice": scenario_knob_lattice,
 }
 
 
