@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ContainerError, HostUnreachable, ResourceUnavailable
 from repro.mcat.catalog import Mcat
-from repro.net.simnet import Network
+from repro.net.simnet import Leg, Network, run_legs
 from repro.policy import PlacementEngine
 from repro.storage.resource import ResourceRegistry
 
@@ -34,9 +34,8 @@ class ContainerManager:
     """Creates containers, appends members, reads members, synchronizes."""
 
     def __init__(self, mcat: Mcat, resources: ResourceRegistry,
-                 network: Network,
-                 placement: Optional[PlacementEngine] = None,
-                 channels=None):
+                 network: Network, channels,
+                 placement: Optional[PlacementEngine] = None):
         self.mcat = mcat
         self.resources = resources
         self.network = network
@@ -45,20 +44,9 @@ class ContainerManager:
         # measured path cost).  Standalone managers build a default one.
         self.placement = placement if placement is not None \
             else PlacementEngine(resources, network)
-        # the federation's ChannelBroker (direct_io): container byte
-        # movement rides brokered channels when enabled, the historical
-        # raw transfer otherwise.  None = standalone manager, raw.
+        # the federation's ChannelBroker: container appends and syncs run
+        # their legs through it (ticketed channels under direct_io)
         self.channels = channels
-
-    def _move(self, src: str, dst: str, nbytes: int, path_key: str,
-              label: str) -> None:
-        """Charge one container byte movement src→dst (0 if colocated)."""
-        if src == dst:
-            return
-        if self.channels is not None and self.channels.enabled:
-            self.channels.run(src, dst, nbytes, path_key, label=label)
-        else:
-            self.network.transfer(src, dst, nbytes)
 
     # -- creation -------------------------------------------------------------
 
@@ -112,68 +100,58 @@ class ContainerManager:
         bulk pass).  Returns the member's new replica row.
         """
         coid = int(container["oid"])
+        res, primary, offset = self._append(coid, data, now, server_host,
+                                            "container-append")
+        replica_num = self.mcat.add_replica(
+            member_oid, res.name, primary["physical_path"], len(data),
+            now=now, container_oid=coid, offset=offset)
+        return self.mcat.get_replica(member_oid, replica_num)
+
+    def _append(self, coid: int, data: bytes, now: float,
+                server_host: Optional[str], label: str):
+        """Append ``data`` to the primary container copy, moving it there
+        from ``server_host`` (if given) as one leg; the other copies
+        become dirty.  Returns ``(resource, primary row, offset)``."""
         primary = self.primary_replica(coid)
         res = self.resources.physical(primary["resource"])
         if not self.resources.available(res.name):
             raise ResourceUnavailable(
                 f"container primary resource {res.name!r} is down")
         if server_host is not None:
-            self._move(server_host, res.host, len(data),
-                       primary["physical_path"], "container-append")
+            self.channels.run([Leg(server_host, res.host, len(data),
+                                   key=primary["physical_path"])],
+                              label=label)
         offset = res.driver.size(primary["physical_path"])
         res.driver.append(primary["physical_path"], data)
         self.mcat.update_replica(coid, primary["replica_num"],
                                  size=offset + len(data))
         self.mcat.mark_siblings_dirty(coid, primary["replica_num"])
         self.mcat.update_object(coid, size=offset + len(data), modified_at=now)
-        replica_num = self.mcat.add_replica(
-            member_oid, res.name, primary["physical_path"], len(data),
-            now=now, container_oid=coid, offset=offset)
-        return self.mcat.get_replica(member_oid, replica_num)
+        return res, primary, offset
 
     def read_member(self, member_replica: Dict[str, Any],
                     server_host: Optional[str] = None) -> bytes:
-        """Read a member's bytes via any available container replica.
+        """Read a member's bytes, pulled onto ``server_host`` if given.
+
+        :meth:`fetch_member` plus its one pass-through leg
+        resource → ``server_host``.
+        """
+        data, res = self.fetch_member(member_replica, from_host=server_host)
+        if server_host is not None:
+            run_legs(self.network, [Leg(res.host, server_host, len(data))])
+        return data
+
+    def fetch_member(self, member_replica: Dict[str, Any],
+                     from_host: Optional[str] = None):
+        """Read a member's bytes without charging the wire.
 
         Tries the cache copy first, failing over to archive copies; a
         ranged read touches only the member's slice (tape staging of the
         whole container happens inside the archive driver, where the cost
-        model amortizes it across subsequent members).
-        """
-        coid = member_replica["container_oid"]
-        if coid is None:
-            raise ContainerError("replica is not container-resident")
-        offset = int(member_replica["offset"])
-        length = int(member_replica["size"])
-        last_error: Optional[Exception] = None
-        for crep in self._ordered_replicas(int(coid),
-                                           from_host=server_host):
-            if crep["is_dirty"]:
-                continue                      # stale copy: do not serve
-            res = self.resources.physical(crep["resource"])
-            if not self.resources.available(res.name):
-                last_error = ResourceUnavailable(f"{res.name} down")
-                continue
-            try:
-                data = res.driver.read(crep["physical_path"], offset, length)
-            except HostUnreachable as exc:    # pragma: no cover - defensive
-                last_error = exc
-                continue
-            if server_host is not None and server_host != res.host:
-                self.network.transfer(res.host, server_host, len(data))
-            return data
-        raise ResourceUnavailable(
-            f"no clean, reachable replica of container {coid}"
-            + (f" ({last_error})" if last_error else ""))
-
-    def read_member_deferred(self, member_replica: Dict[str, Any],
-                             from_host: Optional[str] = None):
-        """Read a member's bytes without charging the wire.
-
-        Direct-I/O variant of :meth:`read_member`: returns ``(data,
-        resource)`` so the caller can move the bytes once, on the real
-        source→sink path, via a brokered channel.  ``from_host`` is the
-        eventual *sink*, used to order the container replicas.
+        model amortizes it across subsequent members).  Returns ``(data,
+        resource)`` so the caller moves the bytes once, on the real
+        source→sink path; ``from_host`` (the eventual sink) orders the
+        container replicas.
         """
         coid = member_replica["container_oid"]
         if coid is None:
@@ -218,22 +196,8 @@ class ContainerManager:
         coid = member_replica["container_oid"]
         if coid is None:
             raise ContainerError("replica is not container-resident")
-        coid = int(coid)
-        primary = self.primary_replica(coid)
-        res = self.resources.physical(primary["resource"])
-        if not self.resources.available(res.name):
-            raise ResourceUnavailable(
-                f"container primary resource {res.name!r} is down")
-        if server_host is not None:
-            self._move(server_host, res.host, len(data),
-                       primary["physical_path"], "container-replace")
-        offset = res.driver.size(primary["physical_path"])
-        res.driver.append(primary["physical_path"], data)
-        self.mcat.update_replica(coid, primary["replica_num"],
-                                 size=offset + len(data))
-        self.mcat.mark_siblings_dirty(coid, primary["replica_num"])
-        self.mcat.update_object(coid, size=offset + len(data),
-                                modified_at=now)
+        res, primary, offset = self._append(int(coid), data, now,
+                                            server_host, "container-replace")
         self.mcat.update_replica(int(member_replica["oid"]),
                                  int(member_replica["replica_num"]),
                                  offset=offset, size=len(data),
@@ -311,8 +275,9 @@ class ContainerManager:
             if not self.resources.available(dst_res.name):
                 raise ResourceUnavailable(
                     f"cannot sync container to {dst_res.name!r}: down")
-            self._move(src_res.host, dst_res.host, len(data),
-                       rep["physical_path"], "container-sync")
+            self.channels.run([Leg(src_res.host, dst_res.host, len(data),
+                                   key=rep["physical_path"])],
+                              label="container-sync")
             if dst_res.driver.exists(rep["physical_path"]):
                 dst_res.driver.delete(rep["physical_path"])
             dst_res.driver.create(rep["physical_path"], data)

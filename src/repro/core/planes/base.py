@@ -26,6 +26,7 @@ from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
 from repro.errors import HostUnreachable, NoSuchObject
 from repro.mcat.catalog import Mcat
+from repro.net.simnet import Leg, run_legs
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 from repro.util import paths
 
@@ -159,25 +160,37 @@ class PlaneService:
         """Drop this server's cached session to ``res`` (if any)."""
         self.server._session_cache.pop(res.name, None)
 
-    def _pull_from_resource(self, res: PhysicalResource, nbytes: int) -> None:
-        if res.host != self.host:
-            self.network.transfer(res.host, self.host, nbytes,
-                                  streams=self.federation.data_streams)
-
-    def _push_to_resource(self, res: PhysicalResource, nbytes: int) -> None:
-        if res.host != self.host:
-            self.network.transfer(self.host, res.host, nbytes,
-                                  streams=self.federation.data_streams)
-
     # ------------------------------------------------------------------
-    # direct data channels (Federation(direct_io=True))
+    # data legs: pass-through or direct channels (Federation(direct_io))
     # ------------------------------------------------------------------
     #
-    # These helpers are the ONLY sanctioned byte movers in plane code
-    # (tools/lint_dispatch.py rule 6): each one either routes through
-    # the federation's ChannelBroker — charging the bytes once, on the
-    # actual source→sink path — or falls back to the exact historical
-    # pass-through transfer, byte-identical with direct_io off.
+    # ``_data_leg`` and ``_redirect_reply`` are the ONLY sanctioned byte
+    # movers in plane code (tools/lint_dispatch.py rule 6).  Both hand
+    # their legs to the one leg executor, ``net.simnet.run_legs``:
+    # ``_data_leg`` runs one leg now, as a ticketed channel (through the
+    # federation's ChannelBroker) or a pass-through transfer, and
+    # ``_redirect_reply`` ships channel descriptors for the caller's RPC
+    # layer to run.  With direct_io off every leg is the historical
+    # pass-through transfer, byte for byte.
+
+    def _data_leg(self, src: Optional[str], dst: str, nbytes: int,
+                  path_key: str = "", label: Optional[str] = None) -> None:
+        """Move one data leg ``src → dst`` now (nothing if colocated).
+
+        With a ``label`` the leg goes through the federation's
+        ChannelBroker: a ticketed channel bound to ``path_key`` under
+        direct_io, else a pass-through transfer.  A leg without one (a
+        pull onto this server) is always pass-through, and so is a
+        write payload that rode the request: ``src=None`` (no deferred
+        payload source, ``ctx.payload_src``) pushes it on from this
+        server.
+        """
+        leg = Leg(src or self.host, dst, nbytes,
+                  self.federation.data_streams, key=path_key)
+        if label is None or src is None:
+            run_legs(self.network, [leg])
+        else:
+            self.federation.channels.run([leg], label=label)
 
     def _redirect_sink(self, ctx) -> Optional[str]:
         """The caller host a read op should redirect bytes to, if any.
@@ -192,40 +205,6 @@ class PlaneService:
         if sink is None or sink == self.host:
             return None
         return sink
-
-    def _payload_source(self, ctx) -> Optional[str]:
-        """The host a write op's payload bytes still live on, if any.
-
-        Non-``None`` only when the client deferred the payload
-        (direct_io): the bytes then move ``payload_src → resource``
-        instead of riding the request and being pushed server→resource.
-        """
-        return ctx.payload_src
-
-    def _channel_push(self, ctx, res: PhysicalResource, nbytes: int,
-                      path_key: str = "", label: str = "ingest") -> None:
-        """Move a write payload onto ``res`` (channel or pass-through)."""
-        src = self._payload_source(ctx)
-        if src is None:
-            self._push_to_resource(res, nbytes)
-        elif src != res.host:
-            self.federation.channels.run(
-                src, res.host, nbytes, path_key,
-                streams=self.federation.data_streams, label=label)
-
-    def _channel_copy(self, src_host: str, res: PhysicalResource,
-                      nbytes: int, path_key: str = "",
-                      label: str = "copy") -> None:
-        """Move bytes ``src_host → res`` (resource→resource legs)."""
-        if src_host == res.host:
-            return
-        if self.federation.direct_io:
-            self.federation.channels.run(
-                src_host, res.host, nbytes, path_key,
-                streams=self.federation.data_streams, label=label)
-        else:
-            self.network.transfer(src_host, res.host, nbytes,
-                                  streams=self.federation.data_streams)
 
     def _redirect_reply(self, payload, parts, sink: str,
                         label: str = "get", retry: bool = False,

@@ -68,8 +68,8 @@ class ReplicaService(PlaneService):
             phys = f"/srb/replicas/{oid}" \
                    f"-r{len(self.mcat.replicas(oid)) + 1}" \
                    f"-{paths.basename(str(obj['path']))}"
-            self._channel_copy(src_res.host, dst_res, len(data), phys,
-                               "replicate")
+            self._data_leg(src_res.host, dst_res.host, len(data), phys,
+                           "replicate")
             self._resource_session(dst_res)
             dst_res.driver.create(phys, data)
             new_num = self.mcat.add_replica(oid, dst_res.name, phys,
@@ -116,8 +116,8 @@ class ReplicaService(PlaneService):
             phys = f"/srb/ingested-replicas/{oid}-" \
                    f"{len(self.mcat.replicas(oid)) + 1}"
             self._resource_session(res)
-            self._channel_push(ctx, res, len(data), phys,
-                               "ingest-replica")
+            self._data_leg(ctx.payload_src, res.host, len(data), phys,
+                           "ingest-replica")
             res.driver.create(phys, data)
             num = self.mcat.add_replica(oid, res.name, phys, len(data),
                                         now=self.now)
@@ -133,8 +133,7 @@ class ReplicaService(PlaneService):
                             parallel=self.federation.parallel_fanout,
                             streams=self.federation.data_streams,
                             placement=self.federation.placement,
-                            channels=self.federation.channels
-                            if self.federation.direct_io else None)
+                            channels=self.federation.channels)
         ctx.audit(detail=str(count))
         return count
 
@@ -170,7 +169,7 @@ class ReplicaService(PlaneService):
         self._resource_session(src_res)
         data = src_res.driver.read(src["physical_path"])
         phys = f"/srb/moved/{oid}-{paths.basename(str(obj['path']))}"
-        self._channel_copy(src_res.host, dst_res, len(data), phys, "move")
+        self._data_leg(src_res.host, dst_res.host, len(data), phys, "move")
         self._resource_session(dst_res)
         dst_res.driver.create(phys, data)
         src_res.driver.delete(src["physical_path"])
@@ -234,7 +233,7 @@ class ReplicaService(PlaneService):
                 self._invalidate_session(res)
                 report[num] = "unavailable"
                 continue
-            self._pull_from_resource(res, len(data))
+            self._data_leg(res.host, self.host, len(data))
             report[num] = "ok" if content_checksum(data) == expected \
                 else "mismatch"
         ctx.audit(detail=",".join(f"{k}:{v}" for k, v in report.items()))

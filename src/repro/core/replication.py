@@ -26,11 +26,12 @@ when one is passed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReplicaUnavailable, ReplicationError, SrbError
+from repro.errors import ReplicaUnavailable, ReplicationError
 from repro.mcat.catalog import Mcat
-from repro.net.simnet import Network, TransferGroup
+from repro.net.simnet import Leg, Network, run_legs
 from repro.policy import PlacementContext, PlacementEngine, make_policy
 from repro.storage.resource import ResourceRegistry
 
@@ -115,22 +116,23 @@ def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
 
     Bytes move clean-resource-host -> dirty-resource-host; returns the
     number of replicas refreshed.  With ``parallel=True`` the refresh
-    pushes run as one :class:`~repro.net.simnet.TransferGroup`: the
-    clean source fans out to every dirty host concurrently, charging
-    the slowest member (makespan) instead of the serial sum.  A member
-    whose host fails mid-group is skipped — it stays dirty and does not
-    poison its siblings' refresh.
+    pushes run as one grouped leg run: the clean source fans out to
+    every dirty host concurrently, charging the slowest member
+    (makespan) instead of the serial sum.  A member whose host fails
+    mid-group, or whose channel cannot open, is skipped — it stays
+    dirty and does not poison its siblings' refresh.
 
     ``placement`` (the federation's engine) chooses which clean replica
     sources the refresh: under a static policy the preference is the
     historical catalog order, under ``observed`` it is the replica with
     the smallest predicted total push time to the dirty hosts.
 
-    ``channels`` (a :class:`~repro.core.federation.ChannelBroker`, under
-    ``Federation(direct_io=True)``) routes every refresh leg through a
-    ticketed one-shot channel — same source→sink paths, but metered and
-    admission-controlled like any other direct transfer.  ``None`` keeps
-    the historical raw transfers, byte for byte.
+    ``channels`` (the federation's
+    :class:`~repro.core.federation.ChannelBroker`) runs the refresh
+    legs: as ticketed one-shot channels under ``direct_io`` — same
+    source→sink paths, but metered and admission-controlled like any
+    other direct transfer — else as pass-through transfers.  A
+    standalone call without a broker runs them pass-through.
     """
     replicas = mcat.replicas(oid)
     clean = [r for r in replicas if not r["is_dirty"]
@@ -158,50 +160,22 @@ def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
 
     targets = [rep for rep in dirty
                if resources.available(rep["resource"])]
-    skipped: set = set()
-    if parallel and len(targets) > 1:
-        group = TransferGroup(network, label="synchronize")
-        opened: Dict[Any, Any] = {}
-        for rep in targets:
-            dst_res = resources.physical(rep["resource"])
-            if src_res.host == dst_res.host:
-                continue
-            if channels is not None:
-                ch = channels.open(src_res.host, dst_res.host, len(data),
-                                   rep["physical_path"], streams=streams,
-                                   label="synchronize")
-                try:
-                    ch.open()
-                except SrbError:
-                    # an unopenable channel behaves like a failed member:
-                    # the replica stays dirty, its siblings still refresh
-                    skipped.add(rep["replica_num"])
-                    continue
-                opened[rep["replica_num"]] = ch
-                ch.add_to(group, key=rep["replica_num"])
-            else:
-                group.add(src_res.host, dst_res.host, len(data),
-                          streams=streams, key=rep["replica_num"])
-        for outcome in group.run():
-            if outcome.key in opened:
-                opened[outcome.key].finish(outcome)
-            if not outcome.ok:
-                skipped.add(outcome.key)
+    legs = [Leg(src_res.host, resources.physical(rep["resource"]).host,
+                len(data), streams, key=rep["physical_path"])
+            for rep in targets]
+    run = channels.run if channels is not None else partial(run_legs, network)
+    grouped = parallel and len(targets) > 1
+    if grouped:
+        outcomes = run(legs, parallel=True, label="synchronize",
+                       drop_unopened=True)
 
     refreshed = 0
-    for rep in targets:
-        if rep["replica_num"] in skipped:
+    for i, rep in enumerate(targets):
+        if not grouped:
+            run([legs[i]], label="synchronize")
+        elif not outcomes[i].ok:
             continue
         dst_res = resources.physical(rep["resource"])
-        if not parallel or len(targets) <= 1:
-            if src_res.host != dst_res.host:
-                if channels is not None:
-                    channels.run(src_res.host, dst_res.host, len(data),
-                                 rep["physical_path"], streams=streams,
-                                 label="synchronize")
-                else:
-                    network.transfer(src_res.host, dst_res.host, len(data),
-                                     streams=streams)
         if dst_res.driver.exists(rep["physical_path"]):
             dst_res.driver.delete(rep["physical_path"])
         dst_res.driver.create(rep["physical_path"], data)

@@ -46,18 +46,18 @@ server architecture" and "Placement policy engine"):
    facade files that *define* the compatibility surface are allowlisted;
    the allowlist is frozen and must only ever shrink.
 
-6. **Byte movement in plane code goes through the channel helpers.**
+6. **Byte movement in plane code goes through the leg executor.**
    A handler calling ``self.network.transfer(...)`` directly bypasses
    the direct-data-channel seam (DESIGN.md, "Direct data channels"):
    under ``Federation(direct_io=True)`` its bytes would silently keep
    funnelling through the server host, unmetered by ``net.direct.*``
    and invisible to channel admission.  Data legs must use the
-   ``planes/base.py`` helpers (``_pull_from_resource``,
-   ``_push_to_resource``, ``_channel_push``, ``_channel_copy``,
-   ``_redirect_reply``) or a ``TransferGroup``/channel pairing.  The
-   frozen allowlist names the ``(file, function)`` pairs that *are*
-   the helpers plus grandfathered control/repair legs; it must only
-   ever shrink.
+   ``planes/base.py`` helper ``_data_leg`` (one leg now, pass-through
+   or a ticketed channel), ``_redirect_reply`` (channels for the
+   caller) or ``net.simnet.run_legs`` (a serial or grouped leg run,
+   with failed-leg repair).  The frozen allowlist names the
+   ``(file, function)`` pairs whose raw transfers are control
+   messages, not data legs; it must only ever shrink.
 
 Run from the repository root::
 
@@ -272,17 +272,11 @@ def check_placement_seam() -> List[str]:
 
 
 #: ``(file, enclosing function)`` pairs sanctioned to call
-#: ``network.transfer`` directly in plane code: the channel/storage
-#: helpers themselves, and grandfathered control or repair legs that
-#: predate the channel seam.  Frozen: entries may be removed as legs
-#: move behind the helpers, never added.
+#: ``network.transfer`` directly in plane code: control legs that carry
+#: no data bytes.  Frozen: entries may be removed, never added.
 RAW_TRANSFER_ALLOWLIST = {
     ("base.py", "_resource_session"),     # session control handshake
-    ("base.py", "_pull_from_resource"),   # the pass-through helper
-    ("base.py", "_push_to_resource"),     # the pass-through helper
-    ("base.py", "_channel_copy"),         # its own pass-through branch
     ("data.py", "_rollback_created"),     # control msgs, not data bytes
-    ("data.py", "_get_bytes_striped"),    # failed-stripe repair re-pull
     ("data.py", "_get_method"),           # proxy command control legs
 }
 
@@ -312,9 +306,9 @@ def check_raw_transfers() -> List[str]:
                 continue
             errors.append(
                 f"{path.relative_to(ROOT)}:{node.lineno}: raw "
-                f"network.transfer() in {func}() — move the leg behind "
-                f"the channel helpers (_channel_push/_channel_copy/"
-                f"_redirect_reply) so direct_io can redirect it")
+                f"network.transfer() in {func}() — move the leg through "
+                f"the leg executor (_data_leg/_redirect_reply/run_legs) "
+                f"so direct_io can redirect it")
     return errors
 
 
